@@ -56,6 +56,7 @@ def get_session(app: str) -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

@@ -28,7 +28,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.tensor.spark_tensor import entry_columns
+from repro.core.delta import full_product_block
+from repro.core.ptucker import _collect_idx_vals, spark_sse
 
 
 class SimulatedOOM(MemoryError):
@@ -113,20 +114,6 @@ def leading_left_factor_from_gram(
     return v[:, order], inv_sigma
 
 
-def collect_partition_arrays(
-    pdfs: Iterator[pd.DataFrame], order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate a partition's Arrow batches into (idx, vals) arrays."""
-    frames = list(pdfs)
-    if not frames:
-        return np.zeros((0, order), np.int64), np.zeros(0, np.float64)
-    pdf = pd.concat(frames, ignore_index=True)
-    idx = np.stack(
-        [pdf[c].to_numpy(np.int64) for c in entry_columns(order)], axis=1
-    )
-    return idx, pdf["val"].to_numpy(np.float64)
-
-
 def spark_core_update(
     view: DataFrame, factors: list[np.ndarray], ranks: tuple[int, ...]
 ) -> np.ndarray:
@@ -140,22 +127,14 @@ def spark_core_update(
     bc = sc.broadcast(factors)
 
     def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx, vals = collect_partition_arrays(pdfs, order)
+        idx, vals, _ = _collect_idx_vals(pdfs, order)
         f = bc.value
         k_total = int(np.prod([a.shape[1] for a in f]))
         acc = np.zeros(k_total, dtype=np.float64)
         chunk = max(1, 4_000_000 // max(1, k_total))
         for s in range(0, len(vals), chunk):
             e = slice(s, min(s + chunk, len(vals)))
-            block = None
-            for k in range(order):  # C-order: later modes vary fastest
-                rows_k = f[k][idx[e, k]]
-                if block is None:
-                    block = rows_k
-                else:
-                    block = (block[:, :, None] * rows_k[:, None, :]).reshape(
-                        len(rows_k), -1
-                    )
+            block = full_product_block(f, idx[e], ranks)
             acc += (vals[e, None] * block).sum(axis=0)
         yield pd.DataFrame({"g": [acc]})
 
@@ -181,13 +160,15 @@ def hooi_family_loop(
     ``mode_updater(n, factors) -> new A^(n)`` supplies the per-method
     TTMc+SVD step. Per iteration the core is recomputed (line 7) and the
     observed-entry reconstruction error (Eq. 6) recorded so speed and
-    accuracy are measured exactly as for P-Tucker.
+    accuracy are measured exactly as for P-Tucker. It is kept apart from
+    ``ptucker.factorize`` on purpose: an SVD update plus a core pass is a
+    different algorithm, and one loop for both would branch on its caller.
     """
     import time
 
     from repro.core.config import PTuckerResult, converged
-    from repro.core.metrics import spark_reconstruction_error
 
+    sc = spark.sparkContext
     factors = init_orthonormal_factors(shape, ranks, seed)
     core = np.zeros(ranks)
     result = PTuckerResult(factors=factors, core=core)
@@ -196,8 +177,10 @@ def hooi_family_loop(
         for n in range(len(shape)):
             factors[n] = mode_updater(n, factors)
         core = spark_core_update(mpt.view(0), factors, ranks)
-        err = spark_reconstruction_error(mpt.view(0), shape, core, factors)
-        result.errors.append(err)
+        bc = sc.broadcast((core, factors, None))
+        sse = spark_sse(mpt.view(0), bc, len(shape))
+        bc.unpersist()
+        result.errors.append(float(np.sqrt(sse)))
         result.core_nnz_history.append(core.size)
         result.iter_times.append(time.perf_counter() - t0)
         if converged(result.errors, tol):

@@ -22,6 +22,7 @@ from repro.baselines.common import (
     rest_modes,
 )
 from repro.baselines.tucker_csf import _materialized_pass
+from repro.core.ptucker import assemble_factor
 from repro.tensor.spark_tensor import ModePartitionedTensor
 
 
@@ -51,11 +52,7 @@ def factorize_hooi(
         collected = _materialized_pass(
             mpt.view(n), factors, n, order, np.eye(k_cols)
         )
-        y = np.zeros((shape[n], k_cols))
-        if len(collected):
-            y[collected["i"].to_numpy(np.int64)] = np.stack(
-                collected["row"].to_numpy()
-            )
+        y = assemble_factor(collected, shape[n], k_cols)
         u, _, _ = np.linalg.svd(y, full_matrices=False)
         out = u[:, : ranks[n]]
         if out.shape[1] < ranks[n]:  # K < J_n: pad with zero columns

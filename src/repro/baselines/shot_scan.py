@@ -21,13 +21,13 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.common import (
-    collect_partition_arrays,
     ensure_budget,
     hooi_family_loop,
     kron_block,
     leading_left_factor_from_gram,
     rest_modes,
 )
+from repro.core.ptucker import _collect_idx_vals, assemble_factor
 from repro.tensor.spark_tensor import ModePartitionedTensor
 
 _SCAN_ROWS = 256
@@ -50,7 +50,7 @@ def _gram_pass(
     bc = sc.broadcast(factors)
 
     def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx, vals = collect_partition_arrays(pdfs, order)
+        idx, vals, _ = _collect_idx_vals(pdfs, order)
         f = bc.value
         rest = rest_modes(order, mode)
         k_cols = int(np.prod([f[k].shape[1] for k in rest]))
@@ -88,7 +88,7 @@ def _rows_pass(
     bc = sc.broadcast((factors, proj))
 
     def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx, vals = collect_partition_arrays(pdfs, order)
+        idx, vals, _ = _collect_idx_vals(pdfs, order)
         f, p = bc.value
         rest = rest_modes(order, mode)
         k_cols = p.shape[0]
@@ -150,12 +150,7 @@ def factorize_shot(
         v, inv_sigma = leading_left_factor_from_gram(gram, ranks[n])
         proj = v * inv_sigma[None, :]
         collected = _rows_pass(mpt.view(n), factors, n, order, proj)
-        out = np.zeros((shape[n], ranks[n]))
-        if len(collected):
-            out[collected["i"].to_numpy(np.int64)] = np.stack(
-                collected["row"].to_numpy()
-            )
-        return out
+        return assemble_factor(collected, shape[n], ranks[n])
 
     try:
         return hooi_family_loop(

@@ -1,168 +1,14 @@
-"""P-Tucker-Cache on Spark (Algorithm 3's Pres memoization).
+"""Analytic memory sizes behind P-Tucker-Cache's trade-off (Fig. 8).
 
-The cache table Pres ∈ R^{|Ω| × |G|} is realized as an ``array<double>``
-column of length |G| on the entries DataFrame, so the table is co-
-partitioned with the entries it belongs to and moves with them through
-each mode's shuffle. Per mode update this costs two passes:
-
-1. shuffle by ``i_n`` → partitioned row update, with δ recovered from
-   Pres by dividing out the mode-n factor (Alg. 3 line 12);
-2. rescale Pres by ``a_new / a_old`` (Alg. 3 lines 17-19), rebuilding
-   pairs whose old factor value is ~0.
-
-This deliberately materializes and shuffles the O(|Ω|·J^N) state — the
-exact time-for-memory trade the paper measures in Fig. 8.
+The cache variant itself runs in :func:`repro.core.ptucker.factorize`.
 """
 from __future__ import annotations
 
-import time
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.storagelevel import StorageLevel
 
-from repro.core import delta as delta_mod
-from repro.core.config import PTuckerConfig, PTuckerResult, converged
-from repro.core.ptucker import assemble_factor, spark_sse
-from repro.core.row_update import update_rows
-from repro.tensor.linalg import init_factors, qr_orthogonalize
-from repro.tensor.spark_tensor import ModePartitionedTensor, entry_columns
-
-_ROW_SCHEMA = "i long, row array<double>"
-
-
-def _pres_schema(order: int) -> str:
-    cols = ", ".join(f"i{n} long" for n in range(order))
-    return f"{cols}, val double, pres array<double>"
-
-
-def _collect_with_pres(
-    pdfs: Iterator[pd.DataFrame], order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, pd.DataFrame | None]:
-    frames = list(pdfs)
-    if not frames:
-        return (
-            np.zeros((0, order), np.int64),
-            np.zeros(0, np.float64),
-            None,
-            None,
-        )
-    pdf = pd.concat(frames, ignore_index=True)
-    idx = np.stack(
-        [pdf[c].to_numpy(np.int64) for c in entry_columns(order)], axis=1
-    )
-    vals = pdf["val"].to_numpy(np.float64)
-    pres = (
-        np.stack(pdf["pres"].to_numpy()) if "pres" in pdf.columns else None
-    )
-    return idx, vals, pres, pdf
-
-
-def factorize_cache(
-    spark: SparkSession,
-    entries: DataFrame | ModePartitionedTensor,
-    shape: tuple[int, ...],
-    cfg: PTuckerConfig,
-) -> PTuckerResult:
-    """Run P-Tucker-Cache on Spark."""
-    base = entries.view(0) if isinstance(entries, ModePartitionedTensor) else entries
-    n_modes = len(shape)
-    order_cols = entry_columns(n_modes)
-    partitions = cfg.partitions or spark.sparkContext.defaultParallelism
-    base = base.select(
-        *[F.col(c).cast("long") for c in order_cols], F.col("val").cast("double")
-    )
-
-    factors, core = init_factors(shape, cfg.ranks, cfg.seed)
-    sc = spark.sparkContext
-    result = PTuckerResult(factors=factors, core=core)
-    schema = _pres_schema(n_modes)
-    cached_df: DataFrame | None = None
-
-    for _ in range(cfg.max_iters):
-        t0 = time.perf_counter()
-        # --- Precompute Pres for this iteration (Alg. 3 lines 1-4). ---
-        bc = sc.broadcast((core, factors))
-
-        def precompute(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            idx, vals, _, pdf = _collect_with_pres(pdfs, n_modes)
-            if pdf is None:
-                return
-            c, f = bc.value
-            pres = delta_mod.compute_pres(c, f, idx)
-            pdf = pdf[order_cols + ["val"]].copy()
-            pdf["pres"] = [r for r in pres]
-            yield pdf
-
-        prev = cached_df
-        cached_df = base.mapInPandas(precompute, schema=schema).persist(
-            StorageLevel.MEMORY_AND_DISK
-        )
-        cached_df.count()
-        if prev is not None:
-            prev.unpersist()
-        bc.unpersist()
-
-        for n in range(n_modes):
-            view = cached_df.repartition(partitions, F.col(f"i{n}"))
-            bc = sc.broadcast((core, factors))
-
-            # --- Pass 1: row updates with δ from Pres. ---
-            def upd_pass(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-                idx, vals, pres, _ = _collect_with_pres(pdfs, n_modes)
-                if len(vals) == 0:
-                    return  # empty partition: Arrow cannot type a 0-row batch
-                c, f = bc.value
-                upd = update_rows(idx, vals, c, f, n, cfg.lam, pres=pres)
-                yield pd.DataFrame(
-                    {"i": upd.indices, "row": [r for r in upd.rows]}
-                )
-
-            collected = view.mapInPandas(upd_pass, schema=_ROW_SCHEMA).toPandas()
-            old_a = factors[n]
-            factors[n] = assemble_factor(collected, shape[n], cfg.ranks[n])
-            bc.unpersist()
-
-            # --- Pass 2: rescale Pres with the new A^(n). ---
-            bc2 = sc.broadcast((core, factors, old_a))
-
-            def rescale(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-                idx, _, pres, pdf = _collect_with_pres(pdfs, n_modes)
-                if pdf is None:
-                    return
-                c, f, old = bc2.value
-                new_pres = delta_mod.rescale_pres(pres, c, f, old, idx, n)
-                pdf = pdf[order_cols + ["val"]].copy()
-                pdf["pres"] = [r for r in new_pres]
-                yield pdf
-
-            prev = cached_df
-            cached_df = view.mapInPandas(rescale, schema=schema).persist(
-                StorageLevel.MEMORY_AND_DISK
-            )
-            cached_df.count()
-            prev.unpersist()
-            bc2.unpersist()
-
-        # --- Reconstruction error (Eq. 6). ---
-        bc = sc.broadcast((core, factors, None))
-        sse = spark_sse(cached_df, bc, n_modes)
-        bc.unpersist()
-        result.errors.append(float(np.sqrt(sse)))
-        result.core_nnz_history.append(core.size)
-        result.iter_times.append(time.perf_counter() - t0)
-        if converged(result.errors, cfg.tol):
-            result.converged = True
-            break
-
-    if cached_df is not None:
-        cached_df.unpersist()
-    factors, core = qr_orthogonalize(factors, core)
-    result.factors, result.core = factors, core
-    return result
+# Bound here only so ptbench's Tracer, which wraps these names on this
+# module as well as on ptucker, finds them; nothing in this module uses them.
+from repro.core.ptucker import assemble_factor, qr_orthogonalize, spark_sse  # noqa: F401
 
 
 def pres_bytes(nnz: int, ranks: tuple[int, ...]) -> int:

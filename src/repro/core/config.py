@@ -42,6 +42,10 @@ class PTuckerConfig:
             raise ValueError("truncation_rate must be in (0, 1)")
         if any(j < 1 for j in self.ranks):
             raise ValueError("ranks must be positive")
+        if not self.lam > 0:
+            raise ValueError("lam must be > 0 (Theorem 1 needs λ>0)")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass

@@ -2,21 +2,15 @@
 
 The paper evaluates with (a) reconstruction error over the training
 (observed) entries and (b) RMSE over a held-out 10% of the observed
-entries, predicted via Eq. 5. Both NumPy (driver) and Spark paths are
-provided; the Spark path is a single ``mapInPandas`` sweep emitting
-per-partition partials (paper Section III-D, "Section 3" parallelism).
+entries, predicted via Eq. 5. These are the NumPy (driver) paths; the
+distributed Eq. 6 is ``ptucker.spark_sse``.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
 
 from repro.core import delta as delta_mod
 from repro.tensor.coo import CooTensor
-from repro.tensor.spark_tensor import entry_columns
 
 
 def predict(core: np.ndarray, factors: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
@@ -43,33 +37,3 @@ def rmse(tensor: CooTensor, core: np.ndarray, factors: list[np.ndarray]) -> floa
     pred = predict(core, factors, tensor.idx)
     r = tensor.vals - pred
     return float(np.sqrt(np.mean(r * r)))
-
-
-def spark_reconstruction_error(
-    entries: DataFrame,
-    shape: tuple[int, ...],
-    core: np.ndarray,
-    factors: list[np.ndarray],
-) -> float:
-    """Distributed Eq. 6 over an entries DataFrame."""
-    order = len(shape)
-    sc = entries.sparkSession.sparkContext
-    bc = sc.broadcast((core, factors))
-
-    def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        frames = list(pdfs)
-        if not frames:
-            yield pd.DataFrame({"sse": [0.0]})
-            return
-        pdf = pd.concat(frames, ignore_index=True)
-        idx = np.stack(
-            [pdf[c].to_numpy(np.int64) for c in entry_columns(order)], axis=1
-        )
-        c, f = bc.value
-        pred = delta_mod.predictions(c, f, idx)
-        r = pdf["val"].to_numpy(np.float64) - pred
-        yield pd.DataFrame({"sse": [float(np.dot(r, r))]})
-
-    parts = entries.mapInPandas(run, schema="sse double").toPandas()
-    bc.unpersist()
-    return float(np.sqrt(parts["sse"].sum()))

@@ -1,14 +1,30 @@
-"""P-Tucker on Spark: fully parallel row-wise ALS (Algorithms 2-3).
+"""P-Tucker on Spark: fully parallel row-wise ALS (Algorithms 2-4).
 
-The sparse tensor lives in Spark as N persisted views, view ``n`` hash-
-partitioned by the mode-n index (``ModePartitionedTensor``). One mode
-update is a single ``mapInPandas`` pass over view ``n``: each partition
-owns complete row groups Ω^(n)_{i_n}, vectorizes the δ/B/c accumulation
-with NumPy, solves the (B+λI) systems for its rows, and emits
-``(i_n, new_row)``. The driver collects the (small) row table, assembles
-the new A^(n), and broadcasts the refreshed model state for the next
-mode — mirroring the paper's thread-parallel row distribution with Spark
-partitions as the unit of parallelism.
+One driver loop runs all three variants, shaped like
+``reference.factorize``. The default and approx variants read N persisted
+views (``ModePartitionedTensor``), view ``n`` hash-partitioned by the
+mode-n index. One mode update is a single ``mapInPandas`` pass: each
+partition owns complete row groups Ω^(n)_{i_n}, vectorizes the δ/B/c
+accumulation with NumPy, solves the (B+λI) systems for its rows, and
+emits ``(i_n, new_row)``. The driver collects the (small) row table,
+assembles the new A^(n), and broadcasts the refreshed model state for the
+next mode — mirroring the paper's thread-parallel row distribution with
+Spark partitions as the unit of parallelism. P-Tucker-Approx (Algorithm
+4) adds one R(β) pass per iteration and truncates the core.
+
+P-Tucker-Cache (Algorithm 3) keeps its table Pres ∈ R^{|Ω| × |G|} as an
+``array<double>`` column of length |G| on the entries DataFrame, so the
+table is co-partitioned with the entries it belongs to and moves with
+them through each mode's shuffle. Instead of the mode views it reads that
+DataFrame, repartitioned by ``i_n``, and per mode runs two passes:
+
+1. the row update, with δ recovered from Pres by dividing out the mode-n
+   factor (Alg. 3 line 12);
+2. rescale Pres by ``a_new / a_old`` (Alg. 3 lines 17-19), rebuilding
+   pairs whose old factor value is ~0.
+
+This deliberately materializes and shuffles the O(|Ω|·J^N) state — the
+exact time-for-memory trade the paper measures in Fig. 8.
 """
 from __future__ import annotations
 
@@ -18,6 +34,8 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
+from pyspark.storagelevel import StorageLevel
 
 from repro.core.approx import (
     dense_core_from_coo,
@@ -26,6 +44,7 @@ from repro.core.approx import (
     use_sparse_core,
 )
 from repro.core.config import PTuckerConfig, PTuckerResult, converged
+from repro.core.delta import compute_pres, rescale_pres
 from repro.core.row_update import rerror_partial, sse_partial, update_rows
 from repro.tensor.linalg import init_factors, qr_orthogonalize
 from repro.tensor.spark_tensor import ModePartitionedTensor, entry_columns
@@ -34,18 +53,30 @@ _ROW_SCHEMA = "i long, row array<double>"
 _SSE_SCHEMA = "sse double, cnt long"
 
 
+def _pres_schema(order: int) -> str:
+    cols = ", ".join(f"i{n} long" for n in range(order))
+    return f"{cols}, val double, pres array<double>"
+
+
 def _collect_idx_vals(
     pdfs: Iterator[pd.DataFrame], order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate a partition's Arrow batches into COO arrays."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Concatenate a partition's Arrow batches into COO arrays.
+
+    Returns ``(idx, vals, pres)``; ``pres`` is the (E, |G|) Pres table
+    when the batches carry the cache variant's ``pres`` column, else None.
+    """
     frames = list(pdfs)
     if not frames:
-        return np.zeros((0, order), np.int64), np.zeros(0, np.float64)
+        return np.zeros((0, order), np.int64), np.zeros(0, np.float64), None
     pdf = pd.concat(frames, ignore_index=True)
     idx = np.stack(
         [pdf[c].to_numpy(np.int64) for c in entry_columns(order)], axis=1
     )
-    return idx, pdf["val"].to_numpy(np.float64)
+    pres = (
+        np.stack(pdf["pres"].to_numpy()) if "pres" in pdf.columns else None
+    )
+    return idx, pdf["val"].to_numpy(np.float64), pres
 
 
 def _mode_update_pass(
@@ -58,12 +89,12 @@ def _mode_update_pass(
     """Run the partitioned row-update pass and collect (i_n, row) pairs."""
 
     def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx, vals = _collect_idx_vals(pdfs, order)
+        idx, vals, pres = _collect_idx_vals(pdfs, order)
         if len(vals) == 0:
             return  # empty partition: emit no batch (Arrow cannot type it)
         core, factors, core_coo = bc.value
         upd = update_rows(
-            idx, vals, core, factors, mode, lam, core_coo=core_coo
+            idx, vals, core, factors, mode, lam, core_coo=core_coo, pres=pres
         )
         yield pd.DataFrame(
             {"i": upd.indices, "row": [r for r in upd.rows]}
@@ -91,7 +122,7 @@ def spark_sse(view: DataFrame, bc, order: int) -> float:
     """Distributed Eq. 6: Σ (X_α − X̂_α)² over observed entries."""
 
     def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx, vals = _collect_idx_vals(pdfs, order)
+        idx, vals, _ = _collect_idx_vals(pdfs, order)
         core, factors, core_coo = bc.value
         sse, cnt = sse_partial(idx, vals, core, factors, core_coo=core_coo)
         yield pd.DataFrame({"sse": [sse], "cnt": [cnt]})
@@ -109,7 +140,7 @@ def spark_rerror(view: DataFrame, bc_rerror, order: int, ranks) -> np.ndarray:
     """
 
     def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        idx, vals = _collect_idx_vals(pdfs, order)
+        idx, vals, _ = _collect_idx_vals(pdfs, order)
         factors, c_idx, c_vals = bc_rerror.value
         r = rerror_partial(idx, vals, c_idx, c_vals, tuple(ranks), factors)
         yield pd.DataFrame({"r": [r]})
@@ -120,38 +151,79 @@ def spark_rerror(view: DataFrame, bc_rerror, order: int, ranks) -> np.ndarray:
     return np.sum(np.stack(parts["r"].to_numpy()), axis=0)
 
 
+def _pres_pass(
+    src: DataFrame,
+    prev: DataFrame | None,
+    state: tuple,
+    mode: int | None,
+    order: int,
+) -> DataFrame:
+    """Persist ``src`` with a fresh Pres column and release ``prev``.
+
+    With ``mode`` None, Pres is built from ``state = (core, factors)``
+    (Alg. 3 lines 1-4); otherwise the Pres on ``src`` is rescaled with
+    ``state = (core, factors, old A^(mode))`` (lines 17-19).
+    """
+    bc = src.sparkSession.sparkContext.broadcast(state)
+
+    def run(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        idx, vals, pres = _collect_idx_vals(pdfs, order)
+        if len(vals) == 0:
+            return  # empty partition: emit no batch (Arrow cannot type it)
+        if mode is None:
+            core, factors = bc.value
+            pres = compute_pres(core, factors, idx)
+        else:
+            core, factors, old_a = bc.value
+            pres = rescale_pres(pres, core, factors, old_a, idx, mode)
+        cols = {c: idx[:, k] for k, c in enumerate(entry_columns(order))}
+        yield pd.DataFrame(cols | {"val": vals, "pres": list(pres)})
+
+    out = src.mapInPandas(run, schema=_pres_schema(order)).persist(
+        StorageLevel.MEMORY_AND_DISK
+    )
+    out.count()
+    if prev is not None:
+        prev.unpersist()
+    bc.unpersist()
+    return out
+
+
 def factorize(
     spark: SparkSession,
     entries: DataFrame | ModePartitionedTensor,
     shape: tuple[int, ...],
     cfg: PTuckerConfig,
 ) -> PTuckerResult:
-    """Run P-Tucker (default or approx variant) on Spark.
-
-    The cache variant has its own entry point
-    (:func:`repro.core.cache.factorize_cache`) because the Pres table is a
-    DataFrame column there, not broadcast state.
-    """
-    if cfg.variant == "cache":
-        from repro.core.cache import factorize_cache
-
-        return factorize_cache(spark, entries, shape, cfg)
-
-    owns_mpt = not isinstance(entries, ModePartitionedTensor)
-    mpt = (
-        ModePartitionedTensor(entries, shape, cfg.partitions)
-        if owns_mpt
-        else entries
-    )
+    """Run P-Tucker (default, cache or approx variant) on Spark."""
     n_modes = len(shape)
+    sc = spark.sparkContext
+    cache = cfg.variant == "cache"
+    owns_mpt = not cache and not isinstance(entries, ModePartitionedTensor)
+    if cache:
+        # The Pres DataFrame is reshuffled by every mode, so Cache needs
+        # no mode views: a raw DataFrame is read directly.
+        if isinstance(entries, ModePartitionedTensor):
+            entries = entries.view(0)
+        base = entries.select(
+            *[F.col(c).cast("long") for c in entry_columns(n_modes)],
+            F.col("val").cast("double"),
+        )
+        partitions = cfg.partitions or sc.defaultParallelism
+    else:
+        mpt = (
+            ModePartitionedTensor(entries, shape, cfg.partitions)
+            if owns_mpt
+            else entries
+        )
     factors, core = init_factors(shape, cfg.ranks, cfg.seed)
 
     core_idx = core_vals = None
     if cfg.variant == "approx":
         core_idx, core_vals = full_core_coo(core)
 
-    sc = spark.sparkContext
     result = PTuckerResult(factors=factors, core=core)
+    cached_df: DataFrame | None = None
 
     def broadcast_state():
         # Switch to the COO kernels only once truncation has made the
@@ -169,15 +241,27 @@ def factorize(
 
     for _ in range(cfg.max_iters):
         t0 = time.perf_counter()
-        for n in range(n_modes):
-            bc = broadcast_state()
-            collected = _mode_update_pass(
-                mpt.view(n), bc, n, cfg.lam, n_modes
+        if cache:
+            cached_df = _pres_pass(
+                base, cached_df, (core, factors), None, n_modes
             )
+        for n in range(n_modes):
+            if cache:
+                view = cached_df.repartition(partitions, F.col(f"i{n}"))
+            else:
+                view = mpt.view(n)
+            bc = broadcast_state()
+            collected = _mode_update_pass(view, bc, n, cfg.lam, n_modes)
+            old_a = factors[n]
             factors[n] = assemble_factor(collected, shape[n], cfg.ranks[n])
             bc.unpersist()
+            if cache:
+                cached_df = _pres_pass(
+                    view, cached_df, (core, factors, old_a), n, n_modes
+                )
         bc = broadcast_state()
-        sse = spark_sse(mpt.view(0), bc, n_modes)
+        sse_view = cached_df if cache else mpt.view(0)
+        sse = spark_sse(sse_view, bc, n_modes)
         result.errors.append(float(np.sqrt(sse)))
         if cfg.variant == "approx":
             bc_rerror = sc.broadcast((factors, core_idx, core_vals))
@@ -198,6 +282,8 @@ def factorize(
 
     if owns_mpt:
         mpt.unpersist()
+    if cached_df is not None:
+        cached_df.unpersist()
     factors, core = qr_orthogonalize(factors, core)
     result.factors, result.core = factors, core
     return result

@@ -10,9 +10,7 @@ the Spark analogue of P-Tucker's per-thread row allocation
 """
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.storagelevel import StorageLevel
 
@@ -66,36 +64,3 @@ class ModePartitionedTensor:
         """Release all cached views."""
         for v in self._views:
             v.unpersist()
-
-    def observed_index_masks(self) -> list[np.ndarray]:
-        """Boolean mask per mode marking indices with >= 1 observed entry.
-
-        Rows of A^(n) with an empty Ω^(n)_{i_n} are driven to zero by the
-        update rule (B=0, c=0 ⇒ row←0); the engines apply that explicitly
-        since the partitioned pass only ever emits observed rows.
-        """
-        masks = []
-        for n in range(self.order):
-            seen = (
-                self._views[n]
-                .select(f"i{n}")
-                .distinct()
-                .toPandas()[f"i{n}"]
-                .to_numpy(np.int64)
-            )
-            m = np.zeros(self.shape[n], dtype=bool)
-            m[seen] = True
-            masks.append(m)
-        return masks
-
-
-def spark_entries_from_coo(
-    spark: SparkSession, idx: np.ndarray, vals: np.ndarray
-) -> DataFrame:
-    """Create an entries DataFrame from COO arrays."""
-    order = idx.shape[1]
-    pdf = pd.DataFrame(
-        {f"i{n}": idx[:, n].astype(np.int64) for n in range(order)}
-        | {"val": vals.astype(np.float64)}
-    )
-    return spark.createDataFrame(pdf)

@@ -17,14 +17,16 @@ def test_solve_row_matches_inverse(j):
     b = _spd(j)
     c = np.random.default_rng(1).standard_normal(j)
     lam = 0.01
-    got = linalg.solve_row(b, c, lam)
+    got = linalg.solve_rows_batched(b[None], c[None], lam)[0]
     want = c @ np.linalg.inv(b + lam * np.eye(j))
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_solve_row_zero_b_is_zero():
     """B = c = 0 (unobserved row) must give the zero row (Eq. 10)."""
-    got = linalg.solve_row(np.zeros((3, 3)), np.zeros(3), 0.01)
+    got = linalg.solve_rows_batched(
+        np.zeros((1, 3, 3)), np.zeros((1, 3)), 0.01
+    )
     np.testing.assert_allclose(got, 0.0)
 
 
@@ -35,9 +37,8 @@ def test_solve_rows_batched_matches_loop(r, j):
     cs = g.standard_normal((r, j))
     got = linalg.solve_rows_batched(bs, cs, 0.1)
     for i in range(r):
-        np.testing.assert_allclose(
-            got[i], linalg.solve_row(bs[i], cs[i], 0.1), atol=1e-10
-        )
+        want = np.linalg.solve(bs[i] + 0.1 * np.eye(j), cs[i])
+        np.testing.assert_allclose(got[i], want, atol=1e-10)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

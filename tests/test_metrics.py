@@ -59,10 +59,13 @@ def test_rmse_definition(setup):
 
 
 def test_spark_reconstruction_error_matches(spark, setup):
+    """The distributed Eq. 6 (``ptucker.spark_sse``) on a raw DataFrame."""
+    from repro.core.ptucker import spark_sse
+
     t, core, factors = setup
-    got = metrics.spark_reconstruction_error(
-        t.to_spark(spark), t.shape, core, factors
-    )
+    bc = spark.sparkContext.broadcast((core, factors, None))
+    got = np.sqrt(spark_sse(t.to_spark(spark), bc, t.order))
+    bc.unpersist()
     want = metrics.reconstruction_error(t, core, factors)
     assert got == pytest.approx(want, rel=1e-9)
 

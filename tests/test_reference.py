@@ -167,6 +167,11 @@ def test_config_validation():
         PTuckerConfig(ranks=(2, 2), variant="approx", truncation_rate=1.5)
     with pytest.raises(ValueError, match="positive"):
         PTuckerConfig(ranks=(0, 2))
+    for lam in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="lam"):
+            PTuckerConfig(ranks=(2, 2), lam=lam)
+    with pytest.raises(ValueError, match="max_iters"):
+        PTuckerConfig(ranks=(2, 2), max_iters=0)
 
 
 def test_fit_metric_consistency(planted, planted_result):

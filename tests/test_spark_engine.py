@@ -5,16 +5,10 @@ import pytest
 
 from repro.core import ptucker, reference
 from repro.core.config import PTuckerConfig
-from repro.core.metrics import (
-    reconstruction_error,
-    spark_reconstruction_error,
-)
+from repro.core.metrics import reconstruction_error
 from repro.synth_data import lowrank_tensor
 from repro.tensor.linalg import init_factors
-from repro.tensor.spark_tensor import (
-    ModePartitionedTensor,
-    spark_entries_from_coo,
-)
+from repro.tensor.spark_tensor import ModePartitionedTensor
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +57,6 @@ def test_mpt_partitioning_groups_rows(spark, tensor, mpt):
     assert owners["i"].is_unique
 
 
-def test_mpt_observed_index_masks(spark, tensor, mpt):
-    masks = mpt.observed_index_masks()
-    for n in range(3):
-        want = np.zeros(tensor.shape[n], bool)
-        want[np.unique(tensor.idx[:, n])] = True
-        np.testing.assert_array_equal(masks[n], want)
-
-
 def test_spark_matches_reference_default(spark, tensor, mpt):
     rs = ptucker.factorize(spark, mpt, tensor.shape, _cfg())
     rr = reference.factorize(tensor, _cfg())
@@ -97,10 +83,12 @@ def test_spark_matches_reference_cache(spark, tensor):
         np.testing.assert_allclose(a, b, atol=1e-7)
 
 
-@pytest.mark.parametrize("partitions", [1, 2, 8])
-def test_partition_count_invariance(spark, tensor, partitions):
-    """Results must not depend on the parallelism degree."""
-    cfg = _cfg(partitions=partitions, max_iters=2)
+@pytest.mark.parametrize("partitions", [1, 2, 8, 64])
+@pytest.mark.parametrize("variant", ["default", "approx", "cache"])
+def test_partition_count_invariance(spark, tensor, variant, partitions):
+    """Results must not depend on the parallelism degree. 64 partitions
+    exceed I_2 = 20, so empty partitions reach every pass."""
+    cfg = _cfg(variant=variant, partitions=partitions, max_iters=2)
     rs = ptucker.factorize(spark, tensor.to_spark(spark), tensor.shape, cfg)
     rr = reference.factorize(tensor, cfg)
     np.testing.assert_allclose(rs.errors, rr.errors, rtol=1e-9)
@@ -145,10 +133,11 @@ def test_spark_sse_matches_numpy(spark, tensor, mpt):
 
 
 def test_spark_reconstruction_error_matches_numpy(spark, tensor):
+    """spark_sse also runs on a raw, unpartitioned entries DataFrame."""
     factors, core = init_factors(tensor.shape, (3, 3, 3), seed=1)
-    got = spark_reconstruction_error(
-        tensor.to_spark(spark), tensor.shape, core, factors
-    )
+    bc = spark.sparkContext.broadcast((core, factors, None))
+    got = np.sqrt(ptucker.spark_sse(tensor.to_spark(spark), bc, 3))
+    bc.unpersist()
     want = reconstruction_error(tensor, core, factors)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -175,7 +164,7 @@ def test_spark_sse_vs_duckdb_oracle(spark, tensor):
 
 
 def test_spark_entries_from_coo(spark, tensor):
-    df = spark_entries_from_coo(spark, tensor.idx, tensor.vals)
+    df = tensor.to_spark(spark)
     assert df.count() == tensor.nnz
     assert set(df.columns) == {"i0", "i1", "i2", "val"}
 
